@@ -12,7 +12,7 @@
  *
  * Usage: ./multitenant_demo [tenants]   (default 26 → 64 cubicles)
  *
- * Tip: CUBICLEOS_TRACE_EVICTIONS=1 prints every park/fault-back-in
+ * Tip: CUBICLEOS_TRACE=evict prints every park/fault-back-in
  * transition as it happens.
  */
 

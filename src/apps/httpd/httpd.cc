@@ -179,7 +179,9 @@ NginxComponent::progress(Conn &conn)
         const std::size_t chunk = std::min(remaining, kIoChunk);
         std::memcpy(conn.buf, conn.header.data() + conn.headerSent,
                     chunk);
-        sys()->stats().countDataCopy(chunk); // header → staging buffer
+        // header → staging buffer
+        sys()->stats().add(core::Stat::dataCopies);
+        sys()->stats().add(core::Stat::dataCopyBytes, chunk);
         const int64_t n = sock_->send(conn.fd, conn.buf, chunk);
         if (n == NetErr::kNetPeerFault) {
             dropConn(conn);

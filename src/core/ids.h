@@ -41,7 +41,9 @@ enum class CubicleKind : uint8_t {
  * Isolation modes for the Fig. 6 ablation.
  *
  * Each mode adds one CubicleOS mechanism on top of the previous:
- * trampolines, then MPK enforcement, then window ACLs.
+ * trampolines, then MPK enforcement, then window ACLs. The three
+ * predicates below are the only place that ladder is spelled out; the
+ * runtime asks them instead of comparing modes.
  */
 enum class IsolationMode : uint8_t {
     kUnikraft, ///< baseline: direct calls, no protection
@@ -49,6 +51,30 @@ enum class IsolationMode : uint8_t {
     kNoAcl,    ///< MPK enforced, window ACLs treated as always open
     kFull,     ///< full CubicleOS
 };
+
+/**
+ * Cross-cubicle calls switch stacks through a trampoline, and the
+ * window API is live (in Unikraft it is not part of the build).
+ */
+constexpr bool hasTrampolines(IsolationMode m)
+{
+    return m >= IsolationMode::kNoMpk;
+}
+
+/**
+ * Checked accesses are enforced by MPK tags: calls switch PKRU and
+ * protection faults go to trap-and-map.
+ */
+constexpr bool enforcesMpk(IsolationMode m)
+{
+    return m >= IsolationMode::kNoAcl;
+}
+
+/** Trap-and-map grants a fault only through an open window ACL. */
+constexpr bool enforcesAcls(IsolationMode m)
+{
+    return m >= IsolationMode::kFull;
+}
 
 /** Returns a human-readable isolation-mode name. */
 const char *isolationModeName(IsolationMode mode);

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "core/codescan.h"
 #include "core/lifecycle.h"
+#include "core/trace.h"
 #include "core/verifier/cache.h"
 
 namespace cubicleos::core {
@@ -174,14 +173,17 @@ Monitor::verifyImage(const ComponentSpec &spec,
                                                  spec.indirectTables,
                                                  &cacheHit);
     if (cacheHit)
-        stats_->countVerifyCacheHit();
+        stats_->add(Stat::verifyCacheHits);
     else
-        stats_->countVerifyCacheMiss();
+        stats_->add(Stat::verifyCacheMisses);
     // Counted per load, hit or miss: imagesVerified tracks verified
     // loads, the hit/miss counters tell how many ran the passes.
-    stats_->countVerifiedImage(report.imageBytes, report.decodedBytes,
-                               report.insnCount, report.rejectingCount(),
-                               report.embeddedCount());
+    stats_->add(Stat::imagesVerified);
+    stats_->add(Stat::verifierBytesScanned, report.imageBytes);
+    stats_->add(Stat::verifierBytesDecoded, report.decodedBytes);
+    stats_->add(Stat::verifierInsns, report.insnCount);
+    stats_->add(Stat::verifierRejected, report.rejectingCount());
+    stats_->add(Stat::verifierReported, report.embeddedCount());
     if (const verifier::CodeFinding *f = report.firstRejecting()) {
         throw VerifierError(
             "component '" + spec.name +
@@ -348,7 +350,7 @@ Wid
 Monitor::windowInit(Cid caller)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     // Reuse a dead slot if available.
     for (Wid wid = 0; wid < windows_.size(); ++wid) {
         if (!windows_[wid].live) {
@@ -366,7 +368,7 @@ void
 Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_add");
 
     if (!space_.contains(ptr) || size == 0)
@@ -388,7 +390,8 @@ Monitor::windowAdd(Cid caller, Wid wid, const void *ptr, std::size_t size)
             static_cast<const uint8_t *>(ptr) + size - 1);
         space_.setKey(first, last - first + 1,
                       static_cast<uint8_t>(w.hotKey));
-        stats_->countRetag();
+        stats_->add(Stat::retags);
+        stats_->add(Stat::retagPages);
     }
 }
 
@@ -396,7 +399,7 @@ void
 Monitor::windowRemove(Cid caller, Wid wid, const void *ptr)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_remove");
     if (!cubicles_[caller]->windows.remove(wid, ptr))
         throw WindowError("window_remove: no such range in window");
@@ -408,7 +411,7 @@ void
 Monitor::windowOpen(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_open");
     w.acl |= aclBit(peer);
     if (w.hotKey >= 0 && peer < cubicleCount())
@@ -420,7 +423,7 @@ void
 Monitor::windowClose(Cid caller, Wid wid, Cid peer)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_close");
     // Lazy revocation: the ACL bit is cleared but pages keep their
     // current tag (causal tag consistency, §5.6). Hot windows revoke
@@ -435,7 +438,7 @@ void
 Monitor::windowCloseAll(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_close_all");
     if (w.hotKey >= 0) {
         for (Cid cid = 0; cid < cubicleCount(); ++cid) {
@@ -451,7 +454,7 @@ void
 Monitor::windowDestroy(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     windowChecked(caller, wid, "window_destroy");
     destroyWindowLocked(caller, wid);
 }
@@ -488,7 +491,7 @@ void
 Monitor::windowSetHot(Cid caller, Wid wid)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_set_hot");
     if (w.hotKey >= 0)
         return;
@@ -517,7 +520,7 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
                         hw::Access expected)
 {
     WriterLock lock(windowMutex_);
-    stats_->countWindowOp();
+    stats_->add(Stat::windowOps);
     Window &w = windowChecked(caller, wid, "window_prestage");
     if (peer >= cubicleCount())
         throw WindowError("window_prestage: unknown peer cubicle");
@@ -553,8 +556,10 @@ Monitor::windowPrestage(Cid caller, Wid wid, Cid peer,
     const std::size_t total =
         prestageSweep(caller, wid, static_cast<uint8_t>(peer_pkey),
                       /*only_parked=*/false);
-    if (total > 0)
-        stats_->countPrestage(total);
+    if (total > 0) {
+        stats_->add(Stat::prestages);
+        stats_->add(Stat::prestagePages, total);
+    }
     return total;
 }
 
@@ -627,28 +632,24 @@ Monitor::windowAcl(Wid wid) const
 // ----------------------------------------------------------------------
 
 bool
-Monitor::handleFault(const hw::Fault &fault, Cid accessor,
-                     IsolationMode mode)
+Monitor::handleFault(const hw::Fault &fault, Cid accessor)
 {
     clock_.charge(hw::cost::kFaultTrap);
-    stats_->countTrap();
+    stats_->add(Stat::traps);
 
     // Opt-in fault trace for hot-path tuning: every trap is a modelled
     // 3,500-cycle event, so when a workload traps more than expected
     // this names the accessor, the page owner and the access at the
-    // fault site. Gated by env var; zero cost when unset.
-    static const bool trace =
-        std::getenv("CUBICLEOS_TRACE_FAULTS") != nullptr;
-    if (trace && space_.contains(fault.addr) &&
+    // fault site.
+    if (traceOn(TraceKind::kFault) && space_.contains(fault.addr) &&
         accessor < cubicleCount()) {
         const std::size_t pg = space_.pageIndexOf(fault.addr);
         const Cid own = meta_.at(pg).owner;
-        std::fprintf(
-            stderr, "[fault] %s %s page=%zu owner=%s pkey=%u\n",
-            cubicles_[accessor]->name.c_str(),
-            fault.reason == hw::FaultReason::kPkuWrite ? "W" : "R", pg,
-            own < cubicleCount() ? cubicles_[own]->name.c_str() : "?",
-            static_cast<unsigned>(fault.pkey));
+        trace(TraceKind::kFault, "[fault] %s %s page=%zu owner=%s pkey=%u",
+              cubicles_[accessor]->name.c_str(),
+              fault.reason == hw::FaultReason::kPkuWrite ? "W" : "R", pg,
+              own < cubicleCount() ? cubicles_[own]->name.c_str() : "?",
+              static_cast<unsigned>(fault.pkey));
     }
 
     // Only MPK faults are resolvable; page-permission and not-present
@@ -688,7 +689,7 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
     // the atomic tag stores are the whole commit.
     // "CubicleOS w/o ACLs" takes the same path: MPK enforced, windows
     // open for any access.
-    if (page_owner == accessor || mode == IsolationMode::kNoAcl) {
+    if (page_owner == accessor || !enforcesAcls(cfg_.mode)) {
         const std::size_t limit =
             std::min(space_.numPages(), page + chunk);
         std::size_t end = page + 1;
@@ -696,7 +697,8 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
                space_.entryAt(end).pkey == fault.pkey)
             ++end;
         space_.setKeyRange(page, end - page, accessor_key);
-        stats_->countRetag(end - page);
+        stats_->add(Stat::retags);
+        stats_->add(Stat::retagPages, end - page);
         if (parkedKey_ >= 0 &&
             cubicles_[accessor]->pkey != accessor_key_i) {
             // An eviction re-bound our tag between the read above and
@@ -768,25 +770,14 @@ Monitor::handleFault(const hw::Fault &fault, Cid accessor,
         return true;
     }
     space_.setKeyRange(lo, hi - lo, accessor_key);
-    stats_->countRetag(hi - lo);
+    stats_->add(Stat::retags);
+    stats_->add(Stat::retagPages, hi - lo);
     return true;
 }
 
 // ----------------------------------------------------------------------
 // Tag virtualisation (DESIGN.md §14)
 // ----------------------------------------------------------------------
-
-namespace {
-
-bool
-traceEvictions()
-{
-    static const bool trace =
-        std::getenv("CUBICLEOS_TRACE_EVICTIONS") != nullptr;
-    return trace;
-}
-
-} // namespace
 
 int
 Monitor::ensureResident(Cid cid)
@@ -818,10 +809,8 @@ Monitor::ensureResident(Cid cid)
     cub.pkey = tag;
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     keyEpoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (traceEvictions()) {
-        std::fprintf(stderr, "[faultin] %s tag=%d pages=%zu\n",
-                     cub.name.c_str(), tag, restored);
-    }
+    trace(TraceKind::kEvict, "[faultin] %s tag=%d pages=%zu",
+          cub.name.c_str(), tag, restored);
     return tag;
 }
 
@@ -835,10 +824,10 @@ Monitor::noteSwitch(Cid callee)
         return; // statically tagged: never evicted
     cub.lastUse = useClock_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cub.pkey == parkedKey_) {
-        stats_->countTagMiss();
+        stats_->add(Stat::tagMisses);
         ensureResident(callee);
     } else {
-        stats_->countTagHit();
+        stats_->add(Stat::tagHits);
     }
 }
 
@@ -881,12 +870,11 @@ Monitor::evictLocked()
     bumpEpoch();
 
     v.evictions.fetchAdd(1);
-    stats_->countEviction(pages);
+    stats_->add(Stat::evictions);
+    stats_->add(Stat::evictionPages, pages);
     keys_.release(tag);
-    if (traceEvictions()) {
-        std::fprintf(stderr, "[evict] %s tag=%d pages=%zu\n",
-                     v.name.c_str(), tag, pages);
-    }
+    trace(TraceKind::kEvict, "[evict] %s tag=%d pages=%zu", v.name.c_str(),
+          tag, pages);
     return tag;
 }
 
@@ -915,7 +903,8 @@ Monitor::faultInLocked(Cid cid, int tag)
         while (run < n && run - i < chunk && wants(run))
             ++run;
         space_.setKeyRange(i, run - i, to);
-        stats_->countRetag(run - i);
+        stats_->add(Stat::retags);
+        stats_->add(Stat::retagPages, run - i);
         total += run - i;
         i = run;
     }
@@ -938,13 +927,15 @@ Monitor::faultInLocked(Cid cid, int tag)
         const std::size_t replayed =
             prestageSweep(w.owner, wid, to, /*only_parked=*/true);
         if (replayed > 0) {
-            stats_->countPrestage(replayed);
+            stats_->add(Stat::prestages);
+            stats_->add(Stat::prestagePages, replayed);
             total += replayed;
         }
     }
 
     cubicles_[cid]->faultIns.fetchAdd(1);
-    stats_->countFaultIn(total);
+    stats_->add(Stat::faultIns);
+    stats_->add(Stat::faultInPages, total);
     return total;
 }
 
@@ -970,7 +961,8 @@ Monitor::sweepTag(std::size_t first, std::size_t end, int from, int to)
         while (run < end && run - i < chunk && wants(run))
             ++run;
         space_.setKeyRange(i, run - i, to_key);
-        stats_->countRetag(run - i);
+        stats_->add(Stat::retags);
+        stats_->add(Stat::retagPages, run - i);
         total += run - i;
         i = run;
     }
@@ -999,8 +991,8 @@ Monitor::destroyCubicle(Cid cid)
             "destroyCubicle: '" + cub.name + "' is " +
             lifeStateName(static_cast<LifeState>(cub.life.load())));
     }
-    lifecycle::trace("destroy %s (cid=%u): draining",
-                     cub.name.c_str(), static_cast<unsigned>(cid));
+    trace(TraceKind::kLifecycle, "[lifecycle] destroy %s (cid=%u): draining",
+          cub.name.c_str(), static_cast<unsigned>(cid));
 
     // 1. Refuse new entries (CrossCallGuard checks life before
     // charging) and unwind threads already inside: their next checked
@@ -1088,8 +1080,10 @@ Monitor::destroyCubicle(Cid cid)
                               static_cast<uint8_t>(cubicles_[own]->pkey));
                 ++returned;
             }
-            if (returned > 0)
-                stats_->countRetag(returned);
+            if (returned > 0) {
+                stats_->add(Stat::retags);
+                stats_->add(Stat::retagPages, returned);
+            }
         }
 
         // 3d. Hot-window keys granted TO the victim die with it.
@@ -1145,11 +1139,12 @@ Monitor::destroyCubicle(Cid cid)
     assert(meta_.countOwnedBy(cid) == 0);
 
     cub.life.store(static_cast<uint8_t>(LifeState::kDead));
-    stats_->countDestroy(reclaimed);
-    lifecycle::trace("destroy %s: %zu pages reclaimed, %zu grants "
-                     "revoked, static key %d saved",
-                     cub.name.c_str(), reclaimed, rec.revoked.size(),
-                     rec.staticKey);
+    stats_->add(Stat::destroys);
+    stats_->add(Stat::reclaimedPages, reclaimed);
+    trace(TraceKind::kLifecycle,
+          "[lifecycle] destroy %s: %zu pages reclaimed, %zu grants "
+          "revoked, static key %d saved",
+          cub.name.c_str(), reclaimed, rec.revoked.size(), rec.staticKey);
     return reclaimed;
 }
 
@@ -1231,8 +1226,10 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
                                           /*only_parked=*/false);
             }
         }
-        if (replayed > 0)
-            stats_->countPrestage(replayed);
+        if (replayed > 0) {
+            stats_->add(Stat::prestages);
+            stats_->add(Stat::prestagePages, replayed);
+        }
         rec.revoked.clear();
         // No epoch bump needed: a restart only widens grants.
     }
@@ -1243,11 +1240,12 @@ Monitor::restartCubicle(Cid cid, const ComponentSpec &spec)
 
     cub.life.store(static_cast<uint8_t>(LifeState::kLive));
     ++rec.generation;
-    stats_->countRestart();
-    lifecycle::trace("restart %s (cid=%u): generation %llu, pkey=%d",
-                     cub.name.c_str(), static_cast<unsigned>(cid),
-                     static_cast<unsigned long long>(rec.generation),
-                     static_cast<int>(cub.pkey));
+    stats_->add(Stat::restarts);
+    trace(TraceKind::kLifecycle,
+          "[lifecycle] restart %s (cid=%u): generation %llu, pkey=%d",
+          cub.name.c_str(), static_cast<unsigned>(cid),
+          static_cast<unsigned long long>(rec.generation),
+          static_cast<int>(cub.pkey));
 }
 
 uint64_t

@@ -418,8 +418,7 @@ class Monitor {
      * @return true if the page was retagged and the access may be
      *         retried; false if this is a genuine isolation violation.
      */
-    bool handleFault(const hw::Fault &fault, Cid accessor,
-                     IsolationMode mode);
+    bool handleFault(const hw::Fault &fault, Cid accessor);
 
     // ------------------------------------------------------------------
     // Memory management for cubicles

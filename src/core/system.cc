@@ -5,6 +5,7 @@
 #include <cassert>
 
 #include "core/lifecycle.h"
+#include "core/trace.h"
 #include "core/verifier/audit.h"
 
 namespace cubicleos::core {
@@ -45,9 +46,10 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
         const auto state = static_cast<LifeState>(cub.life.load());
         if (state != LifeState::kLive) {
             cub.inFlight.fetch_sub(1);
-            sys.stats().countUnwound();
-            lifecycle::trace("refused entry into %s cubicle %s",
-                             lifeStateName(state), cub.name.c_str());
+            sys.stats().add(Stat::unwoundCalls);
+            trace(TraceKind::kLifecycle,
+                  "[lifecycle] refused entry into %s cubicle %s",
+                  lifeStateName(state), cub.name.c_str());
             throw PeerFault(callee, "cross-call into " +
                                         std::string(lifeStateName(state)) +
                                         " cubicle '" + cub.name + "'");
@@ -56,11 +58,11 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
     }
 
     const IsolationMode mode = sys.mode();
-    if (mode >= IsolationMode::kNoMpk) {
+    if (hasTrampolines(mode)) {
         // Trampoline bookkeeping + per-cubicle stack switch.
         sys.clock().charge(hw::cost::kTrampoline + hw::cost::kStackSwitch);
     }
-    if (mode >= IsolationMode::kNoAcl) {
+    if (enforcesMpk(mode)) {
         // Tag virtualisation: stamp the callee's LRU clock and bind it
         // a physical tag if it is parked, BEFORE computing its PKRU —
         // pkruFor never allows the parked tag.
@@ -68,7 +70,7 @@ CrossCallGuard::CrossCallGuard(System &sys, ThreadCtx &ctx, Cid callee)
         // Guard-page wrpkru (enables the trampoline in the monitor's
         // cubicle) + the trampoline's wrpkru to the callee's key set.
         sys.clock().charge(2 * hw::cost::kWrpkru);
-        sys.stats().countWrpkru(2);
+        sys.stats().add(Stat::wrpkrus, 2);
         ctx.pkru = sys.monitor().pkruFor(callee);
         ctx.keyEpoch = sys.monitor().keyEpoch();
     }
@@ -88,12 +90,12 @@ CrossCallGuard::~CrossCallGuard()
     ctx_.current = caller_;
 
     const IsolationMode mode = sys_.mode();
-    if (mode >= IsolationMode::kNoAcl) {
+    if (enforcesMpk(mode)) {
         sys_.clock().charge(2 * hw::cost::kWrpkru);
-        sys_.stats().countWrpkru(2);
+        sys_.stats().add(Stat::wrpkrus, 2);
         ctx_.pkru = savedPkru_;
     }
-    if (mode >= IsolationMode::kNoMpk) {
+    if (hasTrampolines(mode)) {
         sys_.clock().charge(hw::cost::kTrampoline +
                             hw::cost::kStackSwitch);
     }
@@ -117,7 +119,7 @@ CallRing::flush()
     // Mirror crossCall's fast paths: shared callees and the Unikraft
     // baseline never involve the runtime TCB, and calls within one
     // cubicle are plain calls.
-    if (shared_ || sys_.mode() == IsolationMode::kUnikraft) {
+    if (shared_ || !hasTrampolines(sys_.mode())) {
         runAll();
         return n;
     }
@@ -137,7 +139,8 @@ CallRing::flush()
     // not switches. Only the switch itself is amortised.
     for (std::size_t i = 0; i < n; ++i)
         sys_.stats().countCall(ctx.current, callee_);
-    sys_.stats().countRingFlush(n);
+    sys_.stats().add(Stat::ringFlushes);
+    sys_.stats().add(Stat::ringCalls, n);
     try {
         CrossCallGuard guard(sys_, ctx, callee_);
         runAll();
@@ -156,8 +159,7 @@ CallRing::flush()
 // ----------------------------------------------------------------------
 
 System::System(SystemConfig cfg)
-    : stats_(), monitor_(cfg, &stats_), mode_(cfg.mode),
-      serial_(g_system_serial.fetch_add(1))
+    : stats_(), monitor_(cfg, &stats_), serial_(g_system_serial.fetch_add(1))
 {
 }
 
@@ -275,7 +277,8 @@ System::boot()
         if (config().auditLevel != AuditLevel::kOff) {
             std::vector<verifier::LintFinding> audit =
                 verifier::auditWiring(wiringSnapshot());
-            stats_.countAuditRun(audit.size());
+            stats_.add(Stat::auditRuns);
+            stats_.add(Stat::auditFindings, audit.size());
             if (config().auditLevel == AuditLevel::kStrict) {
                 findings.insert(findings.end(),
                                 std::make_move_iterator(audit.begin()),
@@ -342,7 +345,8 @@ System::lintWiring()
 {
     std::vector<verifier::LintFinding> findings =
         verifier::lintWiring(wiringSnapshot());
-    stats_.countLintRun(findings.size());
+    stats_.add(Stat::lintRuns);
+    stats_.add(Stat::lintFindings, findings.size());
     return findings;
 }
 
@@ -352,9 +356,11 @@ System::auditIsolation()
     const verifier::WiringSnapshot snap = wiringSnapshot();
     std::vector<verifier::LintFinding> findings =
         verifier::lintWiring(snap);
-    stats_.countLintRun(findings.size());
+    stats_.add(Stat::lintRuns);
+    stats_.add(Stat::lintFindings, findings.size());
     std::vector<verifier::LintFinding> audit = verifier::auditWiring(snap);
-    stats_.countAuditRun(audit.size());
+    stats_.add(Stat::auditRuns);
+    stats_.add(Stat::auditFindings, audit.size());
     findings.insert(findings.end(),
                     std::make_move_iterator(audit.begin()),
                     std::make_move_iterator(audit.end()));
@@ -413,7 +419,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         // memory touch so the destroyer's quiesce wait terminates.
         if (ctx.current < monitor_.cubicleCount() &&
             !monitor_.cubicleAlive(ctx.current)) {
-            stats_.countUnwound();
+            stats_.add(Stat::unwoundCalls);
             throw PeerFault(ctx.current,
                             "cubicle '" +
                                 monitor_.cubicle(ctx.current).name +
@@ -428,7 +434,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
             ctx.keyEpoch = monitor_.keyEpoch();
             ctx.pkru = monitor_.pkruFor(ctx.current);
             clock().charge(hw::cost::kWrpkru);
-            stats_.countWrpkru();
+            stats_.add(Stat::wrpkrus);
         }
         auto fault = monitor_.space().check(monitor_.mpk(), ctx.pkru,
                                             ptr, len, access);
@@ -445,7 +451,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         if (!(fresh == ctx.pkru)) {
             ctx.pkru = fresh;
             clock().charge(hw::cost::kWrpkru);
-            stats_.countWrpkru();
+            stats_.add(Stat::wrpkrus);
             continue;
         }
 
@@ -464,7 +470,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
             // accesses through one window stop ping-ponging the tag.
             if (ctx.grants.hit(page, ctx.current,
                                monitor_.windowEpoch())) {
-                stats_.countGrantCacheHit();
+                stats_.add(Stat::grantCacheHits);
                 const auto *addr =
                     static_cast<const std::byte *>(fault->addr);
                 const std::size_t in_page = hw::kPageSize -
@@ -484,8 +490,8 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
         // close races between the walk and the insert, the cached
         // entry carries the pre-close epoch and can never hit.
         const uint64_t epoch = monitor_.windowEpoch();
-        if (!monitor_.handleFault(*fault, ctx.current, mode_)) {
-            stats_.countViolation();
+        if (!monitor_.handleFault(*fault, ctx.current)) {
+            stats_.add(Stat::violations);
             throw hw::CubicleFault(*fault);
         }
         if (pku_fault && in_space)
@@ -498,7 +504,7 @@ System::touchSlow(ThreadCtx &ctx, const void *ptr, std::size_t len,
 void
 System::checkExec(const void *ptr)
 {
-    if (mode_ < IsolationMode::kNoAcl)
+    if (!enforcesMpk(mode()))
         return;
     ThreadCtx &ctx = currentCtx();
     // Bounded retry: an exec fault can be a parked code page of the
@@ -510,7 +516,7 @@ System::checkExec(const void *ptr)
             ctx.keyEpoch = monitor_.keyEpoch();
             ctx.pkru = monitor_.pkruFor(ctx.current);
             clock().charge(hw::cost::kWrpkru);
-            stats_.countWrpkru();
+            stats_.add(Stat::wrpkrus);
         }
         auto fault = monitor_.space().check(monitor_.mpk(), ctx.pkru,
                                             ptr, 1, hw::Access::kExec);
@@ -530,7 +536,7 @@ System::checkExec(const void *ptr)
         }
         // Execute faults are never resolvable by trap-and-map: windows
         // grant data access only.
-        stats_.countViolation();
+        stats_.add(Stat::violations);
         throw hw::CubicleFault(*fault);
     }
 }
@@ -545,7 +551,7 @@ System::heapAlloc(std::size_t size)
     // Lifecycle: the heap dies with its cubicle, and a destroyed
     // cubicle has cub.heap == nullptr until a restart rebuilds it.
     if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.countUnwound();
+        stats_.add(Stat::unwoundCalls);
         throw PeerFault(cid, "heapAlloc in destroyed cubicle '" +
                                  cub.name + "'");
     }
@@ -570,7 +576,7 @@ System::heapAllocZeroed(std::size_t size)
         throw LoaderError("heapAlloc outside any cubicle");
     Cubicle &cub = monitor_.cubicle(cid);
     if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.countUnwound();
+        stats_.add(Stat::unwoundCalls);
         throw PeerFault(cid, "heapAlloc in destroyed cubicle '" +
                                  cub.name + "'");
     }
@@ -592,7 +598,7 @@ System::heapFree(void *ptr)
         throw LoaderError("heapFree outside any cubicle");
     Cubicle &cub = monitor_.cubicle(cid);
     if (static_cast<LifeState>(cub.life.load()) != LifeState::kLive) {
-        stats_.countUnwound();
+        stats_.add(Stat::unwoundCalls);
         throw PeerFault(cid, "heapFree in destroyed cubicle '" +
                                  cub.name + "'");
     }

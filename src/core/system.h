@@ -260,7 +260,7 @@ class System {
      */
     void touch(const void *ptr, std::size_t len, hw::Access access)
     {
-        if (mode_ < IsolationMode::kNoAcl)
+        if (!enforcesMpk(mode()))
             return;
         ThreadCtx &ctx = currentCtx();
         touchSlow(ctx, ptr, len, access);
@@ -298,50 +298,50 @@ class System {
 
     Wid windowInit()
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return 0;
         return monitor_.windowInit(currentCtx().current);
     }
     void windowAdd(Wid wid, const void *ptr, std::size_t size)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return;
         monitor_.windowAdd(currentCtx().current, wid, ptr, size);
     }
     void windowRemove(Wid wid, const void *ptr)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return;
         monitor_.windowRemove(currentCtx().current, wid, ptr);
     }
     void windowOpen(Wid wid, Cid peer)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return;
         monitor_.windowOpen(currentCtx().current, wid, peer);
     }
     void windowClose(Wid wid, Cid peer)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return;
         monitor_.windowClose(currentCtx().current, wid, peer);
     }
     void windowCloseAll(Wid wid)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return;
         monitor_.windowCloseAll(currentCtx().current, wid);
     }
     void windowDestroy(Wid wid)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return;
         monitor_.windowDestroy(currentCtx().current, wid);
     }
     /** Promotes a window to a hot window (paper §8 proposal). */
     void windowSetHot(Wid wid)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return;
         monitor_.windowSetHot(currentCtx().current, wid);
     }
@@ -352,7 +352,7 @@ class System {
      */
     std::size_t windowPrestage(Wid wid, Cid peer, hw::Access expected)
     {
-        if (mode_ == IsolationMode::kUnikraft)
+        if (!hasTrampolines(mode()))
             return 0;
         return monitor_.windowPrestage(currentCtx().current, wid, peer,
                                        expected);
@@ -416,7 +416,7 @@ class System {
     std::string auditJson();
 
     hw::CycleClock &clock() { return monitor_.clock(); }
-    IsolationMode mode() const { return mode_; }
+    IsolationMode mode() const { return monitor_.config().mode; }
     const SystemConfig &config() const { return monitor_.config(); }
 
     // Internal: trampoline implementation detail, public for CrossFn.
@@ -425,7 +425,7 @@ class System {
     {
         // Shared cubicles execute with the caller's privileges and
         // never involve the runtime TCB (paper §3 step ❹).
-        if (callee_shared || mode_ == IsolationMode::kUnikraft)
+        if (callee_shared || !hasTrampolines(mode()))
             return fn(std::forward<Args>(args)...);
 
         ThreadCtx &ctx = currentCtx();
@@ -451,7 +451,6 @@ class System {
 
     Stats stats_;
     Monitor monitor_;
-    IsolationMode mode_;
     uint64_t serial_;
 
     std::vector<std::unique_ptr<Component>> components_;
@@ -643,7 +642,7 @@ class CallRing {
                     slots_[j].destroy(slots_[j].storage);
             }
             if (count_ > i + 1)
-                sys_.stats().countUnwound(count_ - i - 1);
+                sys_.stats().add(Stat::unwoundCalls, count_ - i - 1);
             count_ = 0;
             return;
         } catch (...) {
@@ -663,7 +662,7 @@ class CallRing {
                 *slots_[i].verdict = kPeerFaultVerdict;
             slots_[i].destroy(slots_[i].storage);
         }
-        sys_.stats().countUnwound(count_);
+        sys_.stats().add(Stat::unwoundCalls, count_);
         count_ = 0;
     }
 

@@ -39,8 +39,10 @@ LwipComponent::init()
 
     // Feed the stack's payload-copy accounting into the system-wide
     // data-copy counters the sendfile experiment compares.
-    stack_.setCopyHook(
-        [this](std::size_t bytes) { sys()->stats().countDataCopy(bytes); });
+    stack_.setCopyHook([this](std::size_t bytes) {
+        sys()->stats().add(core::Stat::dataCopies);
+        sys()->stats().add(core::Stat::dataCopyBytes, bytes);
+    });
 }
 
 int64_t
@@ -74,8 +76,10 @@ LwipComponent::doPoll(uint64_t now_ns)
     // system-wide stats (the stack itself is System-agnostic).
     const TcpStats &ts = stack_.stats();
     if (ts.zcSegsOut > zcSegsSeen_) {
-        sys()->stats().countZeroCopySend(ts.zcBytesOut - zcBytesSeen_,
-                                         ts.zcSegsOut - zcSegsSeen_);
+        sys()->stats().add(core::Stat::zeroCopySends,
+                           ts.zcSegsOut - zcSegsSeen_);
+        sys()->stats().add(core::Stat::zeroCopyBytes,
+                           ts.zcBytesOut - zcBytesSeen_);
         zcSegsSeen_ = ts.zcSegsOut;
         zcBytesSeen_ = ts.zcBytesOut;
     }

@@ -218,7 +218,9 @@ RamfsComponent::doRead(NodeId id, uint64_t off, void *buf, std::size_t n)
         const std::size_t chunk = std::min(n - done, kBlockSize - bo);
         if (blk < node->blocks.size() && node->blocks[blk]) {
             libc_.memcpy(out + done, node->blocks[blk] + bo, chunk);
-            sys()->stats().countDataCopy(chunk); // block → caller buffer
+            // block → caller buffer
+            sys()->stats().add(core::Stat::dataCopies);
+            sys()->stats().add(core::Stat::dataCopyBytes, chunk);
         } else {
             libc_.memset(out + done, 0, chunk); // hole reads as zeros
         }
@@ -254,7 +256,9 @@ RamfsComponent::doWrite(NodeId id, uint64_t off, const void *buf,
         const std::size_t bo = (off + done) % kBlockSize;
         const std::size_t chunk = std::min(n - done, kBlockSize - bo);
         libc_.memcpy(node->blocks[blk] + bo, in + done, chunk);
-        sys()->stats().countDataCopy(chunk); // caller buffer → block
+        // caller buffer → block
+        sys()->stats().add(core::Stat::dataCopies);
+        sys()->stats().add(core::Stat::dataCopyBytes, chunk);
         done += chunk;
     }
     node->size = std::max(node->size, end);

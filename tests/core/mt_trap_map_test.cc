@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -115,9 +116,14 @@ TEST(MtTrapMap, OpenCloseRacingAccessorFaults)
     std::atomic<bool> done{false};
     std::atomic<int> granted{0};
     std::atomic<int> denied{0};
+    // The owner's rounds start only once the accessor has made its
+    // first attempt; without the barrier the owner can finish all of
+    // them before the accessor thread is scheduled at all.
+    std::latch accessor_started(1);
 
     std::thread owner_thread([&] {
         sys.runAs(owner, [&] {
+            accessor_started.wait();
             for (int i = 0; i < kRounds; ++i) {
                 sys.windowOpen(wid, acc);
                 std::this_thread::yield();
@@ -131,14 +137,18 @@ TEST(MtTrapMap, OpenCloseRacingAccessorFaults)
     });
     std::thread acc_thread([&] {
         sys.runAs(acc, [&] {
-            while (!done) {
+            auto attempt = [&] {
                 try {
                     sys.touch(buf, 1, hw::Access::kRead);
                     ++granted;
                 } catch (const hw::CubicleFault &) {
                     ++denied;
                 }
-            }
+            };
+            attempt();
+            accessor_started.count_down();
+            while (!done)
+                attempt();
         });
     });
     owner_thread.join();
@@ -245,24 +255,24 @@ TEST(MtTrapMap, RangeRetagsDoNotInvalidateOtherThreadsCachedGrants)
         sys.windowOpen(wid, acc1);
     });
 
-    // Warm both accessors' per-thread grant caches with one full-range
-    // fault each (range-granular: one trap covers all eight pages).
-    for (Cid acc : {acc0, acc1}) {
-        sys.runAs(acc, [&] {
-            sys.touch(buf, kBufBytes, hw::Access::kRead);
-        });
-    }
-
     // Owner storms range retags over exactly the pages the reader
     // threads hold cached grants for: windowPrestage to alternating
     // peers keeps flipping every page's tag between the two accessor
     // keys. These retags only WIDEN access — they must not bump the
     // revocation epoch, so both readers' caches stay valid and absorb
     // the PKU misses without a single rejected access.
+    //
+    // Each reader warms its own thread's grant cache (the cache is per
+    // thread) with one full-range access — range-granular: one trap
+    // covers all eight pages — before the storm may start, and makes
+    // its last access after the storm has ended, so the readers' loops
+    // span the whole storm whatever the scheduling.
     std::atomic<int> failures{0};
     std::atomic<bool> done{false};
+    std::latch readers_warm(2);
     std::thread owner_thread([&] {
         sys.runAs(owner, [&] {
+            readers_warm.wait();
             for (int i = 0; i < 400; ++i) {
                 sys.windowPrestage(wid, (i & 1) ? acc1 : acc0,
                                    hw::Access::kRead);
@@ -275,7 +285,7 @@ TEST(MtTrapMap, RangeRetagsDoNotInvalidateOtherThreadsCachedGrants)
     for (Cid acc : {acc0, acc1}) {
         readers.emplace_back([&, acc] {
             sys.runAs(acc, [&] {
-                while (!done) {
+                auto read = [&] {
                     try {
                         sys.touch(buf, kBufBytes, hw::Access::kRead);
                         long s = 0;
@@ -288,6 +298,12 @@ TEST(MtTrapMap, RangeRetagsDoNotInvalidateOtherThreadsCachedGrants)
                     } catch (const hw::CubicleFault &) {
                         ++failures; // ACL never changed: no violation
                     }
+                };
+                read();
+                readers_warm.count_down();
+                for (bool last = false; !last;) {
+                    last = done;
+                    read();
                     std::this_thread::yield();
                 }
             });
